@@ -16,6 +16,14 @@
  *     than every SIMD-1t sample;
  *   - gemm_threads_beat_serial = 1 iff every SIMD-1t sample is slower
  *     than every SIMD-4t sample.
+ * A third verdict times kLstmSteps LSTM cell steps plus their
+ * backward steps on a micro-bucket shape (32 sequences, hidden 16,
+ * 1 thread, SIMD at the build default) in kRounds interleaved rounds,
+ * fused against the ops::* composition (tests/lstm_composition.h),
+ * which computes the same bits with the same activations and GEMMs,
+ * so fusion is the only cause that differs:
+ *   - lstm_fused_beats_composition = 1 iff every composition sample
+ *     is slower than every fused sample.
  * Were the two compared configs the same code (a vanished SIMD path,
  * a parallel dispatch regression that runs the 4-thread GEMM
  * serially), every ordering of their 2 x 5 samples would be equally
@@ -25,7 +33,8 @@
  * cause cannot act: without a wide ISA in this build and CPU
  * (!kernels::simdAvailable()), and with fewer than 2 usable cores in
  * the process affinity mask, where the 4-thread run degenerates to
- * serial dispatch plus queue overhead.
+ * serial dispatch plus queue overhead. The LSTM verdict always
+ * applies.
  *
  * The size of either speedup depends on the host and the build type
  * (at -O3 the compiler auto-vectorizes the scalar lanes), so the
@@ -42,6 +51,8 @@
 #include <sched.h>
 #endif
 
+#include "lstm_composition.h"
+#include "nn/lstm.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "tensor/kernels.h"
@@ -56,6 +67,9 @@ namespace {
 
 /** Interleaved timing rounds; see the file comment for why 5. */
 constexpr std::size_t kRounds = 5;
+
+/** Cell steps (forward + backward) per LSTM timing sample. */
+constexpr std::size_t kLstmSteps = 400;
 
 Tensor
 randomTensor(std::size_t rows, std::size_t cols, util::Rng &rng)
@@ -78,6 +92,57 @@ timeGemm(const Tensor &a, const Tensor &b,
         std::chrono::steady_clock::now() - start;
     // Keep the result alive so the compute cannot be elided.
     return elapsed.count() + (c.data()[0] != c.data()[0] ? 1e9 : 0.0);
+}
+
+/** One LSTM cell forward + backward step, fused or as the ops::*
+ *  composition, on fixed inputs. */
+struct LstmCellWork
+{
+    nn::LstmCell cell;
+    Tensor x, h_prev, c_prev, dh, dc;
+
+    LstmCellWork(std::size_t n, std::size_t hidden, util::Rng &rng)
+        : cell("bench", hidden, hidden, rng),
+          x(randomTensor(n, hidden, rng)),
+          h_prev(randomTensor(n, hidden, rng)),
+          c_prev(randomTensor(n, hidden, rng)),
+          dh(randomTensor(n, hidden, rng)),
+          dc(randomTensor(n, hidden, rng))
+    {
+    }
+
+    /** Checksum of the step's outputs, so no work can be elided. */
+    float
+    run(bool fused)
+    {
+        nn::LstmCell::StepCache cache;
+        if (fused) {
+            cell.step(x, h_prev, c_prev, cache);
+            return cell.stepBackward(cache, dh, dc, true).dx.data()[0];
+        }
+        const auto params = cell.parameters();
+        const testing::LstmWeights w{params[0]->value(),
+                                     params[1]->value(),
+                                     params[2]->value()};
+        testing::lstmCompositionStep(w, x, h_prev, c_prev, cache);
+        return testing::lstmCompositionBackward(w, cache, dh, dc)
+            .dx.data()[0];
+    }
+};
+
+/** Seconds for kLstmSteps fused or composed cell steps + backward,
+ *  after one warm-up step. */
+double
+timeLstmCell(LstmCellWork &work, bool fused)
+{
+    work.run(fused);
+    float check = 0.0f;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t step = 0; step < kLstmSteps; ++step)
+        check += work.run(fused);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    return elapsed.count() + (check != check ? 1e9 : 0.0);
 }
 
 /** Cores this process may run on (its affinity mask, on Linux). */
@@ -160,6 +225,14 @@ main()
         simd_s.push_back(timeGemm(big_a, big_b, simd_serial));
         four_s.push_back(timeGemm(big_a, big_b, four));
     }
+    // LSTM cell, fused vs composed, same interleaving.
+    LstmCellWork lstm_work(32, 16, rng);
+    std::vector<double> lstm_fused_s, lstm_composed_s;
+    kernels::setConfig(simd_serial);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        lstm_composed_s.push_back(timeLstmCell(lstm_work, false));
+        lstm_fused_s.push_back(timeLstmCell(lstm_work, true));
+    }
     // Single-thread micro-bucket shape: must not regress from the
     // parallel machinery (the grain policy keeps it inline).
     const Tensor micro_a = randomTensor(16, 16, rng);
@@ -191,6 +264,14 @@ main()
                 isa.c_str(), simd_speedup);
     std::printf("speedup 4 threads over 1, %s (median): %.2fx\n",
                 isa.c_str(), thread_speedup);
+    const double lstm_speedup =
+        median(lstm_composed_s) / median(lstm_fused_s);
+    std::printf("lstm cell %zu x (step+backward), 32 x 16, 1 thread: "
+                "composition %s, fused %s (median), %.2fx\n",
+                kLstmSteps,
+                util::formatSeconds(median(lstm_composed_s)).c_str(),
+                util::formatSeconds(median(lstm_fused_s)).c_str(),
+                lstm_speedup);
 
     // --- Exactly-gated timing verdicts (see the file comment) ------
     const bool simd_available = kernels::simdAvailable();
@@ -220,6 +301,9 @@ main()
         std::printf("threads verdict not applicable: %zu usable core; "
                     "gemm_threads_beat_serial = 1\n",
                     cores);
+    const bool lstm_ok =
+        separated("lstm_fused_beats_composition", "composition",
+                  lstm_composed_s, "fused", lstm_fused_s);
 
     // --- Exactly-gated instrumentation counts ---------------------
     using namespace obs::names;
@@ -283,8 +367,11 @@ main()
         .metric("gemm_simd_beats_scalar", simd_ok ? 1.0 : 0.0, 0.0)
         .metric("gemm_threads_beat_serial", threads_ok ? 1.0 : 0.0,
                 0.0)
+        .metric("lstm_fused_beats_composition", lstm_ok ? 1.0 : 0.0,
+                0.0)
         .info("gemm_simd_speedup_1t_median", simd_speedup)
         .info("gemm_thread_speedup_4t_median", thread_speedup)
+        .info("lstm_fused_speedup_median", lstm_speedup)
         .metric("gemm_16_micro_seconds", micro_s, 10.0)
         .metric("workload_gemm_calls",
                 static_cast<double>(workload_gemm_calls), 0.0)

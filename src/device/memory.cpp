@@ -1,5 +1,7 @@
 #include "device/memory.h"
 
+#include <algorithm>
+
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -41,6 +43,7 @@ DeviceAllocator::onAllocate(std::uint64_t bytes)
     in_use_ += bytes;
     if (in_use_ > peak_) {
         peak_ = in_use_;
+        high_water_ = std::max(high_water_, peak_);
         // A relaxed CAS only on new watermarks — allocation stays
         // cheap on the (hot) non-watermark path.
         obs::metrics()

@@ -69,6 +69,15 @@ class DeviceAllocator : public tensor::AllocationObserver
         return peak_;
     }
 
+    /** High-water mark since construction; resetPeak() leaves it
+     *  alone, so it is the whole run's peak. */
+    std::uint64_t
+    highWaterBytes() const BUFFALO_EXCLUDES(mutex_)
+    {
+        util::MutexLock lock(mutex_);
+        return high_water_;
+    }
+
     /** Configured capacity. */
     std::uint64_t
     capacity() const BUFFALO_EXCLUDES(mutex_)
@@ -102,6 +111,7 @@ class DeviceAllocator : public tensor::AllocationObserver
     std::uint64_t capacity_ BUFFALO_GUARDED_BY(mutex_);
     std::uint64_t in_use_ BUFFALO_GUARDED_BY(mutex_) = 0;
     std::uint64_t peak_ BUFFALO_GUARDED_BY(mutex_) = 0;
+    std::uint64_t high_water_ BUFFALO_GUARDED_BY(mutex_) = 0;
     std::uint64_t oom_count_ BUFFALO_GUARDED_BY(mutex_) = 0;
 };
 

@@ -334,34 +334,17 @@ class LstmAggregator : public Aggregator
         c->n = n;
         c->d = d;
         c->steps.resize(d);
-
-        Tensor h = Tensor::zeros(n, dim_, observer);
-        Tensor state = Tensor::zeros(n, dim_, observer);
-        const float *feats = neighbor_feats.data();
-        const std::size_t dim = dim_;
-        for (std::size_t t = 0; t < d; ++t) {
-            // x_t: row v*d + t of the node-major layout, for each v.
-            Tensor x_t = Tensor::uninitialized(n, dim_, observer);
-            {
-                float *px = x_t.data();
-                kernels::OpTimer timer(kernels::OpClass::Aggregate,
-                                       2 * x_t.bytes());
-                kernels::parallelRows(
-                    n, n * dim, [&](std::size_t v0, std::size_t v1) {
-                        for (std::size_t v = v0; v < v1; ++v) {
-                            const float *src =
-                                feats + (v * d + t) * dim;
-                            std::copy(src, src + dim, px + v * dim);
-                        }
-                    });
-            }
-            auto [h_next, c_next] =
-                cell_.step(x_t, h, state, c->steps[t], observer);
-            h = std::move(h_next);
-            state = std::move(c_next);
-        }
+        Tensor h = run(neighbor_feats, n, d, c->steps.data(), observer);
         cache = std::move(c);
         return h;
+    }
+
+    Tensor
+    forwardInference(const Tensor &neighbor_feats, std::size_t n,
+                     std::size_t d, AllocationObserver *observer) override
+    {
+        checkBucketShape(neighbor_feats, n, d, dim_);
+        return run(neighbor_feats, n, d, nullptr, observer);
     }
 
     Tensor
@@ -379,8 +362,10 @@ class LstmAggregator : public Aggregator
         const std::size_t d = cache.d, dim = dim_;
         float *pi = grad_in.data();
         for (std::size_t t = cache.d; t-- > 0;) {
-            auto grads =
-                cell_.stepBackward(cache.steps[t], dh, dc, observer);
+            // Step 0's h_prev and c_prev are the constant zero state:
+            // nothing consumes their gradients.
+            auto grads = cell_.stepBackward(cache.steps[t], dh, dc,
+                                            t > 0, observer);
             const float *px = grads.dx.data();
             kernels::OpTimer timer(kernels::OpClass::Aggregate,
                                    2 * grads.dx.bytes());
@@ -417,6 +402,46 @@ class LstmAggregator : public Aggregator
     }
 
   private:
+    /**
+     * Runs the cell over the d-step neighbor sequence and returns the
+     * final h. Step t's state goes to @p steps[t]; with @p steps null
+     * one scratch cache is reused, so only the running h and c and
+     * the latest step's state stay alive.
+     */
+    Tensor
+    run(const Tensor &neighbor_feats, std::size_t n, std::size_t d,
+        LstmCell::StepCache *steps, AllocationObserver *observer) const
+    {
+        Tensor h = Tensor::zeros(n, dim_, observer);
+        Tensor state = Tensor::zeros(n, dim_, observer);
+        LstmCell::StepCache scratch;
+        const float *feats = neighbor_feats.data();
+        const std::size_t dim = dim_;
+        for (std::size_t t = 0; t < d; ++t) {
+            // x_t: row v*d + t of the node-major layout, for each v.
+            Tensor x_t = Tensor::uninitialized(n, dim_, observer);
+            {
+                float *px = x_t.data();
+                kernels::OpTimer timer(kernels::OpClass::Aggregate,
+                                       2 * x_t.bytes());
+                kernels::parallelRows(
+                    n, n * dim, [&](std::size_t v0, std::size_t v1) {
+                        for (std::size_t v = v0; v < v1; ++v) {
+                            const float *src =
+                                feats + (v * d + t) * dim;
+                            std::copy(src, src + dim, px + v * dim);
+                        }
+                    });
+            }
+            auto [h_next, c_next] = cell_.step(
+                x_t, h, state, steps != nullptr ? steps[t] : scratch,
+                observer);
+            h = std::move(h_next);
+            state = std::move(c_next);
+        }
+        return h;
+    }
+
     std::size_t dim_;
     LstmCell cell_;
 };
@@ -501,8 +526,11 @@ aggregatorCacheFloatsPerEdge(AggregatorKind kind, std::size_t dim)
         // gradient, pre-activation gradient, linear input gradient).
         return 5.0 * f;
       case AggregatorKind::Lstm:
-        // gathered feats + per-step cache: x, h_prev, c_prev, 4 gates,
-        // c, tanh_c -> 9 state tensors of width f per edge.
+        // gathered feats + the per-step cache: x, h_prev, c_prev, the
+        // 4 gates, c, tanh_c -> 9 tensors of width f per edge. An
+        // upper bound since the cell is fused (kernels::lstmStep):
+        // c_prev shares storage with the previous step's c, and the
+        // fused step's transients live for one step, not per edge.
         return 10.0 * f;
     }
     return f;

@@ -51,6 +51,20 @@ class Aggregator : public Module
                            AllocationObserver *observer = nullptr) = 0;
 
     /**
+     * Forward without activation state, for inference: the same bits
+     * as forward(), but nothing survives the call for a backward
+     * pass. The default runs forward() and drops its cache;
+     * aggregators that can avoid building the cache override it.
+     */
+    virtual Tensor
+    forwardInference(const Tensor &neighbor_feats, std::size_t n,
+                     std::size_t d, AllocationObserver *observer = nullptr)
+    {
+        std::unique_ptr<AggregatorCache> cache;
+        return forward(neighbor_feats, n, d, cache, observer);
+    }
+
+    /**
      * Backward for one bucket: returns the gradient w.r.t.
      * neighbor_feats ((n*d) x dim()); accumulates parameter grads.
      */

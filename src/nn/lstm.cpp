@@ -1,11 +1,13 @@
 #include "nn/lstm.h"
 
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/errors.h"
 
 namespace buffalo::nn {
 
 namespace ops = buffalo::tensor;
+namespace kernels = buffalo::tensor::kernels;
 
 LstmCell::LstmCell(std::string name, std::size_t input_dim,
                    std::size_t hidden_dim, util::Rng &rng,
@@ -36,89 +38,73 @@ LstmCell::step(const Tensor &x, const Tensor &h_prev,
 {
     checkArgument(x.cols() == inputDim(),
                   "LstmCell::step: input width mismatch");
+    const std::size_t n = x.rows();
     const std::size_t h = hiddenDim();
 
-    Tensor z = ops::matmul(x, wx_.value(), observer);
-    ops::addInPlace(z, ops::matmul(h_prev, wh_.value(), observer));
-    z = ops::addRowBroadcast(z, b_.value(), observer);
-
+    const Tensor xw = ops::matmul(x, wx_.value(), observer);
+    const Tensor hw = ops::matmul(h_prev, wh_.value(), observer);
     cache.x = x;
     cache.h_prev = h_prev;
     cache.c_prev = c_prev;
-    cache.i = ops::sigmoid(ops::sliceColumns(z, 0, h, observer),
-                           observer);
-    cache.f = ops::sigmoid(ops::sliceColumns(z, h, 2 * h, observer),
-                           observer);
-    cache.g =
-        ops::tanh(ops::sliceColumns(z, 2 * h, 3 * h, observer), observer);
-    cache.o = ops::sigmoid(ops::sliceColumns(z, 3 * h, 4 * h, observer),
-                           observer);
+    for (Tensor *out : {&cache.i, &cache.f, &cache.g, &cache.o, &cache.c,
+                        &cache.tanh_c})
+        *out = Tensor::uninitialized(n, h, observer);
+    Tensor h_out = Tensor::uninitialized(n, h, observer);
 
-    cache.c = ops::add(ops::multiply(cache.f, c_prev, observer),
-                       ops::multiply(cache.i, cache.g, observer),
-                       observer);
-    cache.tanh_c = ops::tanh(cache.c, observer);
-    Tensor h_out = ops::multiply(cache.o, cache.tanh_c, observer);
+    kernels::LstmStepArgs args;
+    args.rows = n;
+    args.hidden = h;
+    args.xw = xw.data();
+    args.hw = hw.data();
+    args.bias = b_.value().data();
+    args.c_prev = c_prev.data();
+    args.i = cache.i.data();
+    args.f = cache.f.data();
+    args.g = cache.g.data();
+    args.o = cache.o.data();
+    args.c = cache.c.data();
+    args.tanh_c = cache.tanh_c.data();
+    args.h = h_out.data();
+    kernels::lstmStep(args);
     return {std::move(h_out), cache.c};
 }
 
 LstmCell::StepGrads
 LstmCell::stepBackward(const StepCache &cache, const Tensor &dh,
-                       const Tensor &dc_in, AllocationObserver *observer)
+                       const Tensor &dc, bool need_prev,
+                       AllocationObserver *observer)
 {
     const std::size_t n = dh.rows();
     const std::size_t h = hiddenDim();
 
-    // dh -> output gate and tanh(c) paths.
-    Tensor d_o = ops::multiply(dh, cache.tanh_c, observer);
-    Tensor d_tanh_c = ops::multiply(dh, cache.o, observer);
+    Tensor dz = Tensor::uninitialized(n, 4 * h, observer);
+    StepGrads grads;
+    if (need_prev)
+        grads.dc_prev = Tensor::uninitialized(n, h, observer);
 
-    // dc = dc_in + d_tanh_c * (1 - tanh(c)^2)
-    Tensor one_minus_t2 = Tensor::zeros(n, h, observer);
-    for (std::size_t k = 0; k < one_minus_t2.size(); ++k) {
-        const float t = cache.tanh_c.data()[k];
-        one_minus_t2.data()[k] = 1.0f - t * t;
-    }
-    Tensor dc = ops::add(
-        dc_in, ops::multiply(d_tanh_c, one_minus_t2, observer), observer);
-
-    Tensor d_f = ops::multiply(dc, cache.c_prev, observer);
-    Tensor d_i = ops::multiply(dc, cache.g, observer);
-    Tensor d_g = ops::multiply(dc, cache.i, observer);
-    Tensor dc_prev = ops::multiply(dc, cache.f, observer);
-
-    // Gate pre-activation gradients.
-    auto sigmoid_back = [&](const Tensor &gate, const Tensor &grad) {
-        Tensor out = Tensor::zeros(n, h, observer);
-        for (std::size_t k = 0; k < out.size(); ++k) {
-            const float s = gate.data()[k];
-            out.data()[k] = grad.data()[k] * s * (1.0f - s);
-        }
-        return out;
-    };
-    Tensor dz_i = sigmoid_back(cache.i, d_i);
-    Tensor dz_f = sigmoid_back(cache.f, d_f);
-    Tensor dz_o = sigmoid_back(cache.o, d_o);
-    Tensor dz_g = Tensor::zeros(n, h, observer);
-    for (std::size_t k = 0; k < dz_g.size(); ++k) {
-        const float g = cache.g.data()[k];
-        dz_g.data()[k] = d_g.data()[k] * (1.0f - g * g);
-    }
-
-    // Assemble dz in forward gate order (i, f, g, o).
-    Tensor dz = ops::concatColumns(
-        ops::concatColumns(dz_i, dz_f, observer),
-        ops::concatColumns(dz_g, dz_o, observer), observer);
+    kernels::LstmBackwardArgs args;
+    args.rows = n;
+    args.hidden = h;
+    args.dh = dh.data();
+    args.dc = dc.data();
+    args.c_prev = cache.c_prev.data();
+    args.i = cache.i.data();
+    args.f = cache.f.data();
+    args.g = cache.g.data();
+    args.o = cache.o.data();
+    args.tanh_c = cache.tanh_c.data();
+    args.dz = dz.data();
+    args.dc_prev = need_prev ? grads.dc_prev.data() : nullptr;
+    kernels::lstmStepBackward(args);
 
     wx_.accumulateGrad(ops::matmulTransposeA(cache.x, dz, observer));
     wh_.accumulateGrad(
         ops::matmulTransposeA(cache.h_prev, dz, observer));
     b_.accumulateGrad(ops::columnSum(dz, observer));
 
-    StepGrads grads;
     grads.dx = ops::matmulTransposeB(dz, wx_.value(), observer);
-    grads.dh_prev = ops::matmulTransposeB(dz, wh_.value(), observer);
-    grads.dc_prev = std::move(dc_prev);
+    if (need_prev)
+        grads.dh_prev = ops::matmulTransposeB(dz, wh_.value(), observer);
     return grads;
 }
 

@@ -4,7 +4,12 @@
  *
  * The LSTM aggregator runs this cell across a node's neighbor sequence;
  * the per-step caches are what make the LSTM aggregator the most
- * memory-hungry configuration in the paper's Fig. 2.
+ * memory-hungry configuration in the paper's Fig. 2. Each step is two
+ * GEMMs plus one fused elementwise kernel (kernels::lstmStep), and
+ * each backward step one fused kernel (kernels::lstmStepBackward)
+ * plus the weight and input GEMMs; both are bitwise equal to the
+ * ops::* composition they replace (DESIGN.md, "Activations and the
+ * fused LSTM cell").
  */
 #pragma once
 
@@ -26,7 +31,11 @@ class LstmCell : public Module
     std::size_t inputDim() const { return wx_.value().rows(); }
     std::size_t hiddenDim() const { return wh_.value().rows(); }
 
-    /** Everything the backward step needs, kept per timestep. */
+    /**
+     * Everything the backward step needs, kept per timestep. c_prev
+     * shares storage with the previous step's c, so a sequence of
+     * steps pins 8 distinct tensors per step.
+     */
     struct StepCache
     {
         Tensor x;      ///< step input, n x input_dim
@@ -52,7 +61,10 @@ class LstmCell : public Module
     };
 
     /**
-     * One forward step over a batch of n sequences.
+     * One forward step over a batch of n sequences: x·Wx and h_prev·Wh,
+     * then the fused cell writes the gates, c and tanh(c) into
+     * @p cache. Reusing one @p cache across steps keeps only the
+     * latest step's state alive (the inference path).
      * @return (h, c), both n x hidden_dim.
      */
     std::pair<Tensor, Tensor> step(const Tensor &x, const Tensor &h_prev,
@@ -63,10 +75,13 @@ class LstmCell : public Module
     /**
      * One backward step. @p dh and @p dc are the gradients w.r.t. this
      * step's h and c outputs (dc already includes any contribution from
-     * the following step). Accumulates weight gradients.
+     * the following step). Accumulates weight gradients. With
+     * @p need_prev false (the first step, whose h_prev and c_prev are
+     * the constant initial state) dh_prev and dc_prev are not computed
+     * and stay empty.
      */
     StepGrads stepBackward(const StepCache &cache, const Tensor &dh,
-                           const Tensor &dc,
+                           const Tensor &dc, bool need_prev,
                            AllocationObserver *observer = nullptr);
 
     std::vector<Parameter *> parameters() override;

@@ -118,9 +118,13 @@ SageModel::forwardImpl(const sampling::MicroBatch &mb,
                 if (!fused) {
                     Tensor gathered =
                         ops::gatherRows(x, indices, observer);
-                    Tensor agg_out = aggregators_[layer]->forward(
-                        gathered, n, d, bucket_state.agg_cache,
-                        observer);
+                    Tensor agg_out =
+                        state != nullptr
+                            ? aggregators_[layer]->forward(
+                                  gathered, n, d,
+                                  bucket_state.agg_cache, observer)
+                            : aggregators_[layer]->forwardInference(
+                                  gathered, n, d, observer);
                     // Scatter bucket rows to their destinations.
                     for (std::size_t i = 0; i < n; ++i) {
                         std::memcpy(

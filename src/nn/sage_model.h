@@ -66,10 +66,11 @@ class SageModel : public Module
     /**
      * Inference-mode forward: identical arithmetic (and therefore
      * bitwise-identical logits) to forward(), but no activation state
-     * is stashed for a backward pass — per-bucket aggregator caches
-     * and layer inputs are dropped as soon as the layer is done, so
-     * peak memory is bounded by one layer's working set. No backward()
-     * may follow.
+     * is stashed for a backward pass — buckets run through
+     * Aggregator::forwardInference (the LSTM keeps only its running h
+     * and c plus one step's scratch) and layer inputs are dropped as
+     * soon as the layer is done, so peak memory is bounded by one
+     * layer's working set. No backward() may follow.
      */
     Tensor forwardInference(const sampling::MicroBatch &mb,
                             const Tensor &input_features,

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "tensor/kernels_wide.h"
+#include "tensor/lane_kernels.h"
 #include "util/errors.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -516,6 +517,61 @@ ewColumnSum(const float *a, float *c, std::size_t rows, std::size_t n,
         for (std::size_t j = c0; j < c1; ++j)
             c[j] += arow[j];
     }
+}
+
+void
+ewSigmoid(const float *a, float *c, std::size_t lo, std::size_t hi)
+{
+    if (simdActive()) {
+        wide::ewSigmoid(a, c, lo, hi);
+        return;
+    }
+    simd::sigmoidRange(a, c, lo, hi);
+}
+
+void
+ewTanh(const float *a, float *c, std::size_t lo, std::size_t hi)
+{
+    if (simdActive()) {
+        wide::ewTanh(a, c, lo, hi);
+        return;
+    }
+    simd::tanhRange(a, c, lo, hi);
+}
+
+void
+lstmStep(const LstmStepArgs &args)
+{
+    const std::size_t elems = args.rows * args.hidden;
+    OpTimer timer(OpClass::Elementwise,
+                  (2 * 4 * elems + 4 * args.hidden + 8 * elems) *
+                      sizeof(float));
+    const bool use_simd = simdActive();
+    // Five transcendentals per element, ~20 flops each.
+    parallelRows(args.rows, 100 * elems,
+                 [&](std::size_t r0, std::size_t r1) {
+                     if (use_simd)
+                         wide::lstmStepRows(args, r0, r1);
+                     else
+                         simd::lstmStepRows(args, r0, r1);
+                 });
+}
+
+void
+lstmStepBackward(const LstmBackwardArgs &args)
+{
+    const std::size_t elems = args.rows * args.hidden;
+    const std::size_t written = args.dc_prev != nullptr ? 5 : 4;
+    OpTimer timer(OpClass::Elementwise,
+                  (8 * elems + written * elems) * sizeof(float));
+    const bool use_simd = simdActive();
+    parallelRows(args.rows, 20 * elems,
+                 [&](std::size_t r0, std::size_t r1) {
+                     if (use_simd)
+                         wide::lstmBackwardRows(args, r0, r1);
+                     else
+                         simd::lstmBackwardRows(args, r0, r1);
+                 });
 }
 
 namespace {

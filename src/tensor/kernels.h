@@ -156,6 +156,74 @@ void ewAddRowBroadcast(const float *a, const float *bias, float *c,
  *  each column accumulates row-ascending. */
 void ewColumnSum(const float *a, float *c, std::size_t rows,
                  std::size_t n, std::size_t c0, std::size_t c1);
+/** c = sigmoid(a) and c = tanh(a) over [lo, hi): the in-repo
+ *  activations of tensor/lane_kernels.h, identical bits in both
+ *  lanes and on every host (no libm). */
+void ewSigmoid(const float *a, float *c, std::size_t lo,
+               std::size_t hi);
+void ewTanh(const float *a, float *c, std::size_t lo, std::size_t hi);
+
+/**
+ * Operands of one fused LSTM cell step over @p rows sequences of
+ * hidden width @p hidden. Gate pre-activations are 4*hidden wide in
+ * gate order (input, forget, cell, output); every other array is
+ * rows x hidden, row-major.
+ */
+struct LstmStepArgs
+{
+    std::size_t rows = 0;
+    std::size_t hidden = 0;
+    const float *xw = nullptr;     ///< x · Wx
+    const float *hw = nullptr;     ///< h_prev · Wh
+    const float *bias = nullptr;   ///< 1 x 4*hidden
+    const float *c_prev = nullptr; ///< previous cell state
+    float *i = nullptr;            ///< input gate (post-sigmoid)
+    float *f = nullptr;            ///< forget gate (post-sigmoid)
+    float *g = nullptr;            ///< candidate (post-tanh)
+    float *o = nullptr;            ///< output gate (post-sigmoid)
+    float *c = nullptr;            ///< new cell state
+    float *tanh_c = nullptr;       ///< tanh(c)
+    float *h = nullptr;            ///< new hidden state
+};
+
+/**
+ * The LSTM cell forward as one elementwise op. Per element, each
+ * multiply and add rounded separately, in this order:
+ *   z = (xw + hw) + bias;  i, f, o = sigmoid(z);  g = tanh(z);
+ *   c = f*c_prev + i*g;  tanh_c = tanh(c);  h = o*tanh_c
+ * — bit for bit the ops::* composition (matmul, addInPlace,
+ * addRowBroadcast, sliceColumns, sigmoid/tanh, multiply, add) at any
+ * SIMD width and thread count. Records one Elementwise call.
+ */
+void lstmStep(const LstmStepArgs &args);
+
+/** Operands of one fused LSTM cell backward step (shapes as in
+ *  LstmStepArgs; the cached tensors are that step's outputs). */
+struct LstmBackwardArgs
+{
+    std::size_t rows = 0;
+    std::size_t hidden = 0;
+    const float *dh = nullptr;     ///< gradient w.r.t. this step's h
+    const float *dc = nullptr;     ///< gradient w.r.t. this step's c
+    const float *c_prev = nullptr;
+    const float *i = nullptr;
+    const float *f = nullptr;
+    const float *g = nullptr;
+    const float *o = nullptr;
+    const float *tanh_c = nullptr;
+    float *dz = nullptr;      ///< rows x 4*hidden, gate order i, f, g, o
+    float *dc_prev = nullptr; ///< rows x hidden; null skips it
+};
+
+/**
+ * The LSTM cell backward up to the gate pre-activations, as one
+ * elementwise op. Per element:
+ *   dC = dc + (dh*o) * (1 - tanh_c*tanh_c);  dc_prev = dC*f;
+ *   dz_i = ((dC*g)*i)*(1-i);  dz_f = ((dC*c_prev)*f)*(1-f);
+ *   dz_g = (dC*i)*(1 - g*g);  dz_o = ((dh*tanh_c)*o)*(1-o)
+ * — bit for bit the ops::* composition. Records one Elementwise call.
+ */
+void lstmStepBackward(const LstmBackwardArgs &args);
 
 /**
  * Fused aggregator chains (full ops: they record Aggregate counters

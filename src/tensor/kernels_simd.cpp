@@ -1,11 +1,11 @@
 /**
  * @file
  * Wide-ISA implementations of the kernel layer (declared in
- * tensor/kernels_wide.h). This is the ONLY translation unit allowed
- * to include tensor/simd.h: CMake compiles it with the target ISA
- * flags (-mavx2 -ffp-contract=off on x86-64 when BUFFALO_SIMD=ON),
- * and without BUFFALO_SIMD_ENABLED it degrades to the scalar VecF
- * lane so the symbols always exist.
+ * tensor/kernels_wide.h). This is the only translation unit that
+ * sees the wide VecF of tensor/simd.h: CMake compiles it with the
+ * target ISA flags (-mavx2 -ffp-contract=off on x86-64 when
+ * BUFFALO_SIMD=ON), and without BUFFALO_SIMD_ENABLED it degrades to
+ * the scalar VecF lane so the symbols always exist.
  *
  * Bitwise contract with the scalar kernels in kernels.cpp: lanes map
  * only to independent output elements (GEMM j-columns, elementwise
@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "tensor/lane_kernels.h"
 #include "tensor/simd.h"
 
 namespace buffalo::tensor::kernels::wide {
@@ -398,6 +399,31 @@ ewColumnSum(const float *a, float *c, std::size_t rows, std::size_t n,
             sum += a[i * n + j];
         c[j] = sum;
     }
+}
+
+void
+ewSigmoid(const float *a, float *c, std::size_t lo, std::size_t hi)
+{
+    s::sigmoidRange(a, c, lo, hi);
+}
+
+void
+ewTanh(const float *a, float *c, std::size_t lo, std::size_t hi)
+{
+    s::tanhRange(a, c, lo, hi);
+}
+
+void
+lstmStepRows(const LstmStepArgs &args, std::size_t r0, std::size_t r1)
+{
+    s::lstmStepRows(args, r0, r1);
+}
+
+void
+lstmBackwardRows(const LstmBackwardArgs &args, std::size_t r0,
+                 std::size_t r1)
+{
+    s::lstmBackwardRows(args, r0, r1);
 }
 
 void

@@ -22,6 +22,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/kernels.h"
+
 namespace buffalo::tensor::kernels::wide {
 
 /** True when this build carries a wide ISA the host CPU supports. */
@@ -67,6 +69,13 @@ void ewAddRowBroadcast(const float *a, const float *bias, float *c,
                        std::size_t r0, std::size_t r1, std::size_t n);
 void ewColumnSum(const float *a, float *c, std::size_t rows,
                  std::size_t n, std::size_t c0, std::size_t c1);
+void ewSigmoid(const float *a, float *c, std::size_t lo,
+               std::size_t hi);
+void ewTanh(const float *a, float *c, std::size_t lo, std::size_t hi);
+void lstmStepRows(const LstmStepArgs &args, std::size_t r0,
+                  std::size_t r1);
+void lstmBackwardRows(const LstmBackwardArgs &args, std::size_t r0,
+                      std::size_t r1);
 
 void fusedGatherSumScaleRows(const float *x,
                              const std::uint32_t *gather,

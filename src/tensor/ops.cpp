@@ -243,8 +243,7 @@ sigmoid(const Tensor &a, AllocationObserver *observer)
     // estimate accordingly so mid-sized activations still fan out.
     kernels::parallelRows(
         a.size(), 20 * a.size(), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-                pc[i] = 1.0f / (1.0f + std::exp(-pa[i]));
+            kernels::ewSigmoid(pa, pc, lo, hi);
         });
     return c;
 }
@@ -258,8 +257,7 @@ tanh(const Tensor &a, AllocationObserver *observer)
     float *pc = c.data();
     kernels::parallelRows(
         a.size(), 20 * a.size(), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-                pc[i] = std::tanh(pa[i]);
+            kernels::ewTanh(pa, pc, lo, hi);
         });
     return c;
 }

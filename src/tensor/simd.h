@@ -25,25 +25,38 @@
  * the reduction order is pinned by code (and tested) rather than
  * re-invented per call site.
  *
- * This header must only be included from translation units compiled
- * with the matching ISA flags (tensor/kernels_simd.cpp, which CMake
- * builds with -mavx2 -ffp-contract=off on x86-64 when BUFFALO_SIMD
- * is ON). Including it from differently-flagged TUs would create ODR
- * mismatches between inline definitions.
+ * Every definition lives in an inline namespace named after the ISA
+ * the including translation unit selected (`avx2`, `neon`, `scalar`),
+ * so two TUs built with different ISA flags never share an inline
+ * definition: the wide TU (tensor/kernels_simd.cpp, which CMake
+ * builds with -mavx2 on x86-64 when BUFFALO_SIMD is ON) gets the
+ * wide VecF, and the baseline-flagged tensor/kernels.cpp gets the
+ * scalar lane. That is what lets the kernel bodies in
+ * tensor/lane_kernels.h be written once against VecF and compiled
+ * into both lanes. Include it only from the kernel layer's own TUs;
+ * every other caller goes through tensor/kernels.h.
  */
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #if defined(BUFFALO_SIMD_ENABLED) && defined(__AVX2__)
 #define BUFFALO_SIMD_AVX2 1
+#define BUFFALO_SIMD_ISA avx2
 #include <immintrin.h>
-#elif defined(BUFFALO_SIMD_ENABLED) && defined(__ARM_NEON)
+#elif defined(BUFFALO_SIMD_ENABLED) && defined(__ARM_NEON) && \
+    defined(__aarch64__)
 #define BUFFALO_SIMD_NEON 1
+#define BUFFALO_SIMD_ISA neon
 #include <arm_neon.h>
+#else
+#define BUFFALO_SIMD_ISA scalar
 #endif
 
 namespace buffalo::tensor::simd {
+inline namespace BUFFALO_SIMD_ISA {
 
 #if defined(BUFFALO_SIMD_AVX2)
 
@@ -132,6 +145,62 @@ selectGtZero(VecF c, VecF x)
     return {_mm256_and_ps(x.v, mask)};
 }
 
+inline VecF
+min(VecF a, VecF b)
+{
+    return {_mm256_min_ps(a.v, b.v)};
+}
+
+inline VecF
+div(VecF a, VecF b)
+{
+    return {_mm256_div_ps(a.v, b.v)};
+}
+
+/** Lane-wise truth value of a compare: all-ones or all-zeros bits. */
+struct MaskF
+{
+    __m256 m;
+};
+
+/** Ordered `a < b` (false when either lane is NaN). */
+inline MaskF
+lessThan(VecF a, VecF b)
+{
+    return {_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)};
+}
+
+inline MaskF
+isNan(VecF a)
+{
+    return {_mm256_cmp_ps(a.v, a.v, _CMP_UNORD_Q)};
+}
+
+/** Lane-wise `m ? a : b`. */
+inline VecF
+select(MaskF m, VecF a, VecF b)
+{
+    return {_mm256_blendv_ps(b.v, a.v, m.m)};
+}
+
+/** |mag| with the sign bit of @p sign. */
+inline VecF
+copySign(VecF mag, VecF sign)
+{
+    const __m256 bit = _mm256_set1_ps(-0.0f);
+    return {_mm256_or_ps(_mm256_andnot_ps(bit, mag.v),
+                         _mm256_and_ps(bit, sign.v))};
+}
+
+/** 2^k for lanes holding integral values k in [-126, 127]. */
+inline VecF
+pow2i(VecF k)
+{
+    const __m256i biased = _mm256_add_epi32(_mm256_cvttps_epi32(k.v),
+                                            _mm256_set1_epi32(127));
+    return {_mm256_castsi256_ps(_mm256_slli_epi32(biased, 23))};
+}
+
 #elif defined(BUFFALO_SIMD_NEON)
 
 /** One 4-lane single-precision group (NEON). */
@@ -209,6 +278,61 @@ selectGtZero(VecF c, VecF x)
 {
     const uint32x4_t mask = vcgtq_f32(c.v, vdupq_n_f32(0.0f));
     return {vbslq_f32(mask, x.v, vdupq_n_f32(0.0f))};
+}
+
+/** `a < b ? a : b` exactly (vminq_f32 differs on NaN and signed 0). */
+inline VecF
+min(VecF a, VecF b)
+{
+    return {vbslq_f32(vcltq_f32(a.v, b.v), a.v, b.v)};
+}
+
+inline VecF
+div(VecF a, VecF b)
+{
+    return {vdivq_f32(a.v, b.v)};
+}
+
+/** Lane-wise truth value of a compare: all-ones or all-zeros bits. */
+struct MaskF
+{
+    uint32x4_t m;
+};
+
+/** Ordered `a < b` (false when either lane is NaN). */
+inline MaskF
+lessThan(VecF a, VecF b)
+{
+    return {vcltq_f32(a.v, b.v)};
+}
+
+inline MaskF
+isNan(VecF a)
+{
+    return {vmvnq_u32(vceqq_f32(a.v, a.v))};
+}
+
+/** Lane-wise `m ? a : b`. */
+inline VecF
+select(MaskF m, VecF a, VecF b)
+{
+    return {vbslq_f32(m.m, a.v, b.v)};
+}
+
+/** |mag| with the sign bit of @p sign. */
+inline VecF
+copySign(VecF mag, VecF sign)
+{
+    return {vbslq_f32(vdupq_n_u32(0x80000000u), sign.v, mag.v)};
+}
+
+/** 2^k for lanes holding integral values k in [-126, 127]. */
+inline VecF
+pow2i(VecF k)
+{
+    const int32x4_t biased =
+        vaddq_s32(vcvtq_s32_f32(k.v), vdupq_n_s32(127));
+    return {vreinterpretq_f32_s32(vshlq_n_s32(biased, 23))};
 }
 
 #else
@@ -289,6 +413,67 @@ selectGtZero(VecF c, VecF x)
     return {c.v > 0.0f ? x.v : 0.0f};
 }
 
+inline VecF
+min(VecF a, VecF b)
+{
+    return {a.v < b.v ? a.v : b.v};
+}
+
+inline VecF
+div(VecF a, VecF b)
+{
+    return {a.v / b.v};
+}
+
+/** Truth value of a compare. */
+struct MaskF
+{
+    bool m;
+};
+
+inline MaskF
+lessThan(VecF a, VecF b)
+{
+    return {a.v < b.v};
+}
+
+inline MaskF
+isNan(VecF a)
+{
+    return {a.v != a.v};
+}
+
+inline VecF
+select(MaskF m, VecF a, VecF b)
+{
+    return {m.m ? a.v : b.v};
+}
+
+/** |mag| with the sign bit of @p sign (bit copy, no libm). */
+inline VecF
+copySign(VecF mag, VecF sign)
+{
+    std::uint32_t m = 0, s = 0;
+    std::memcpy(&m, &mag.v, sizeof(m));
+    std::memcpy(&s, &sign.v, sizeof(s));
+    const std::uint32_t bits = (m & 0x7fffffffu) | (s & 0x80000000u);
+    float out = 0.0f;
+    std::memcpy(&out, &bits, sizeof(out));
+    return {out};
+}
+
+/** 2^k for an integral k in [-126, 127]. */
+inline VecF
+pow2i(VecF k)
+{
+    const std::uint32_t bits =
+        static_cast<std::uint32_t>(static_cast<std::int32_t>(k.v) + 127)
+        << 23;
+    float out = 0.0f;
+    std::memcpy(&out, &bits, sizeof(out));
+    return {out};
+}
+
 #endif
 
 /** Active lane-group width for this translation unit. */
@@ -314,4 +499,25 @@ hsum(VecF x)
     return lanes[0];
 }
 
+/** The first @p count (< kWidth) floats at @p p, zeros above them. */
+inline VecF
+loadPartial(const float *p, std::size_t count)
+{
+    float lanes[VecF::kWidth] = {};
+    for (std::size_t l = 0; l < count; ++l)
+        lanes[l] = p[l];
+    return load(lanes);
+}
+
+/** Stores the first @p count (< kWidth) lanes of @p x to @p p. */
+inline void
+storePartial(float *p, VecF x, std::size_t count)
+{
+    float lanes[VecF::kWidth];
+    store(lanes, x);
+    for (std::size_t l = 0; l < count; ++l)
+        p[l] = lanes[l];
+}
+
+} // namespace BUFFALO_SIMD_ISA
 } // namespace buffalo::tensor::simd

@@ -24,6 +24,12 @@ TEST(DeviceAllocator, TracksUsageAndPeak)
     EXPECT_EQ(alloc.peakBytes(), 700u);
     alloc.resetPeak();
     EXPECT_EQ(alloc.peakBytes(), 400u);
+    // The high-water mark spans resets: it is the whole run's peak.
+    alloc.onAllocate(200);
+    EXPECT_EQ(alloc.peakBytes(), 600u);
+    EXPECT_EQ(alloc.highWaterBytes(), 700u);
+    alloc.onAllocate(200);
+    EXPECT_EQ(alloc.highWaterBytes(), 800u);
 }
 
 TEST(DeviceAllocator, ThrowsDeviceOomAtCapacity)

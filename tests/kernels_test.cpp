@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <sstream>
 
+#include "lstm_composition.h"
 #include "nn/aggregators.h"
+#include "nn/lstm.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "tensor/kernels.h"
@@ -557,6 +561,259 @@ TEST_F(KernelsTest, FusedAggregateKernelsMatchScalarComposition)
                 << tag;
         }
     }
+}
+
+/** Every float of a step's cache, gates first. */
+std::vector<const Tensor *>
+cacheTensors(const nn::LstmCell::StepCache &cache)
+{
+    return {&cache.i, &cache.f, &cache.g, &cache.o, &cache.c,
+            &cache.tanh_c};
+}
+
+TEST_F(KernelsTest, LstmFusedCellMatchesComposition)
+{
+    // The fused step and backward against the ops::* composition
+    // (computed once, scalar and serial), at every SIMD mode x thread
+    // count; odd h values leave a partial last lane group.
+    for (std::size_t h : {1u, 4u, 13u, 32u, 64u}) {
+        for (std::size_t n : {0u, 1u, 33u, 130u}) {
+            util::Rng rng(31 + h * 7 + n);
+            util::Rng weight_rng(5);
+            nn::LstmCell cell("c", h, h, weight_rng);
+            const auto params = cell.parameters();
+            const testing::LstmWeights w{params[0]->value(),
+                                         params[1]->value(),
+                                         params[2]->value()};
+            const Tensor x = randomTensor(n, h, rng);
+            const Tensor h_prev = randomTensor(n, h, rng);
+            const Tensor c_prev = randomTensor(n, h, rng);
+            const Tensor dh = randomTensor(n, h, rng);
+            const Tensor dc = randomTensor(n, h, rng);
+
+            kernels::KernelConfig base = serialConfig();
+            base.simd = kernels::SimdMode::Off;
+            kernels::setConfig(base);
+            nn::LstmCell::StepCache ref_cache;
+            const auto [ref_h, ref_c] = testing::lstmCompositionStep(
+                w, x, h_prev, c_prev, ref_cache);
+            const testing::LstmCompositionGrads ref =
+                testing::lstmCompositionBackward(w, ref_cache, dh, dc);
+
+            for (kernels::SimdMode mode :
+                 {kernels::SimdMode::Off, kernels::SimdMode::Auto}) {
+                for (kernels::KernelConfig cfg :
+                     {serialConfig(), parallelConfig()}) {
+                    cfg.simd = mode;
+                    kernels::setConfig(cfg);
+                    std::ostringstream tag;
+                    tag << "h=" << h << " n=" << n << " simd="
+                        << kernels::simdModeName(mode)
+                        << " threads=" << cfg.threads;
+                    nn::LstmCell::StepCache cache;
+                    const auto [out_h, out_c] =
+                        cell.step(x, h_prev, c_prev, cache);
+                    EXPECT_TRUE(bitwiseEqual(ref_h, out_h)) << tag.str();
+                    EXPECT_TRUE(bitwiseEqual(ref_c, out_c)) << tag.str();
+                    const auto ref_parts = cacheTensors(ref_cache);
+                    const auto parts = cacheTensors(cache);
+                    for (std::size_t k = 0; k < parts.size(); ++k)
+                        EXPECT_TRUE(
+                            bitwiseEqual(*ref_parts[k], *parts[k]))
+                            << tag.str() << " cache field " << k;
+
+                    for (bool need_prev : {true, false}) {
+                        cell.zeroGrad();
+                        const auto grads =
+                            cell.stepBackward(cache, dh, dc, need_prev);
+                        EXPECT_TRUE(bitwiseEqual(ref.dx, grads.dx))
+                            << tag.str();
+                        EXPECT_TRUE(
+                            bitwiseEqual(ref.dwx, params[0]->grad()))
+                            << tag.str();
+                        EXPECT_TRUE(
+                            bitwiseEqual(ref.dwh, params[1]->grad()))
+                            << tag.str();
+                        EXPECT_TRUE(
+                            bitwiseEqual(ref.db, params[2]->grad()))
+                            << tag.str();
+                        if (need_prev) {
+                            EXPECT_TRUE(bitwiseEqual(ref.dh_prev,
+                                                     grads.dh_prev))
+                                << tag.str();
+                            EXPECT_TRUE(bitwiseEqual(ref.dc_prev,
+                                                     grads.dc_prev))
+                                << tag.str();
+                        } else {
+                            EXPECT_TRUE(grads.dh_prev.empty());
+                            EXPECT_TRUE(grads.dc_prev.empty());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, LstmStepElementwiseAndGemmCallCounts)
+{
+    // One fused elementwise op per forward step; per backward step the
+    // fused op, the bias column sum and three gradient accumulations.
+    // The first step (need_prev false) skips the dh_prev GEMM.
+    auto &ew_calls =
+        obs::metrics().counter(obs::names::kCtrKernelsElementwiseCalls);
+    auto &gemm_calls =
+        obs::metrics().counter(obs::names::kCtrKernelsGemmCalls);
+    util::Rng rng(3);
+    nn::LstmCell cell("c", 8, 6, rng);
+    const Tensor x = randomTensor(5, 8, rng);
+    const Tensor h0 = Tensor::zeros(5, 6);
+    const Tensor c0 = Tensor::zeros(5, 6);
+    nn::LstmCell::StepCache cache;
+
+    std::uint64_t ew0 = ew_calls.value(), gemm0 = gemm_calls.value();
+    cell.step(x, h0, c0, cache);
+    EXPECT_EQ(ew_calls.value() - ew0, 1u);
+    EXPECT_EQ(gemm_calls.value() - gemm0, 2u);
+
+    const Tensor dh = randomTensor(5, 6, rng);
+    for (bool need_prev : {true, false}) {
+        ew0 = ew_calls.value();
+        gemm0 = gemm_calls.value();
+        cell.stepBackward(cache, dh, c0, need_prev);
+        EXPECT_EQ(ew_calls.value() - ew0, 5u);
+        EXPECT_EQ(gemm_calls.value() - gemm0, need_prev ? 4u : 3u);
+    }
+}
+
+/** Distance from @p got to @p want in units of float spacing at want. */
+double
+ulpError(float got, double want)
+{
+    if (want == 0.0)
+        return got == 0.0f ? 0.0 : std::numeric_limits<double>::max();
+    int exponent = 0;
+    std::frexp(want, &exponent);
+    return std::abs(static_cast<double>(got) - want) /
+           std::ldexp(1.0, exponent - 24);
+}
+
+TEST_F(KernelsTest, ActivationsWithinThreeUlpOfDoubleReference)
+{
+    // A uniform grid over [-30, 30] plus a geometric sweep through the
+    // small-|x| range of tanh's polynomial branch.
+    std::vector<float> xs;
+    for (int k = -600000; k <= 600000; ++k)
+        xs.push_back(static_cast<float>(k) * 5e-5f);
+    for (double mag = 1e-8; mag < 1.0; mag *= 1.0001) {
+        xs.push_back(static_cast<float>(mag));
+        xs.push_back(static_cast<float>(-mag));
+    }
+    const Tensor x = Tensor::fromValues(1, xs.size(), xs);
+    for (kernels::SimdMode mode :
+         {kernels::SimdMode::Off, kernels::SimdMode::Auto}) {
+        kernels::KernelConfig cfg;
+        cfg.simd = mode;
+        kernels::setConfig(cfg);
+        const Tensor sig = ops::sigmoid(x);
+        const Tensor th = ops::tanh(x);
+        double worst_sig = 0.0, worst_tanh = 0.0;
+        float at_sig = 0.0f, at_tanh = 0.0f;
+        for (std::size_t k = 0; k < xs.size(); ++k) {
+            const double v = xs[k];
+            const double e_sig =
+                ulpError(sig.data()[k], 1.0 / (1.0 + std::exp(-v)));
+            const double e_tanh = ulpError(th.data()[k], std::tanh(v));
+            if (e_sig > worst_sig) {
+                worst_sig = e_sig;
+                at_sig = xs[k];
+            }
+            if (e_tanh > worst_tanh) {
+                worst_tanh = e_tanh;
+                at_tanh = xs[k];
+            }
+        }
+        EXPECT_LE(worst_sig, 3.0)
+            << "sigmoid at x=" << at_sig << " simd="
+            << kernels::simdModeName(mode);
+        EXPECT_LE(worst_tanh, 3.0)
+            << "tanh at x=" << at_tanh << " simd="
+            << kernels::simdModeName(mode);
+    }
+}
+
+float
+fromBits(std::uint32_t bits)
+{
+    float out = 0.0f;
+    std::memcpy(&out, &bits, sizeof(out));
+    return out;
+}
+
+std::uint32_t
+toBits(float value)
+{
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+TEST_F(KernelsTest, ActivationSpecialValuesBitwiseAcrossLanes)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float max = std::numeric_limits<float>::max();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    std::vector<float> xs = {
+        0.0f, -0.0f, inf, -inf,
+        std::numeric_limits<float>::quiet_NaN(),
+        fromBits(0xffc00001u),      // negative NaN with a payload
+        fromBits(0x7fa00000u),      // signaling NaN
+        denorm, -denorm, fromBits(0x007fffffu), -fromBits(0x007fffffu),
+        std::numeric_limits<float>::min(), max, -max,
+        // exp's clamp edges reach sigmoid at -x and tanh at 2|x|.
+        104.0f, -104.0f, 89.0f, -89.0f, 88.72f, -88.72f, 87.0f,
+        -87.0f, 44.5f, -44.5f, 52.0f, -52.0f, 9.01f, -9.01f,
+        // tanh's branch point.
+        0.625f, -0.625f, std::nextafter(0.625f, 0.0f),
+        std::nextafter(0.625f, 1.0f), std::nextafter(-0.625f, 0.0f),
+        1e-30f, -1e-30f, 1e-4f, -1e-4f, 0.5f, 17.0f, -17.0f};
+    // Repeat at every offset so each value lands in a full lane group
+    // and in the partial last group.
+    std::vector<float> all;
+    for (std::size_t shift = 0; shift < 9; ++shift) {
+        all.insert(all.end(), xs.begin() + shift % xs.size(), xs.end());
+        all.insert(all.end(), xs.begin(),
+                   xs.begin() + shift % xs.size());
+    }
+    all.resize(all.size() - 3);
+    const Tensor x = Tensor::fromValues(1, all.size(), all);
+
+    kernels::KernelConfig off = serialConfig();
+    off.simd = kernels::SimdMode::Off;
+    kernels::setConfig(off);
+    const Tensor sig = ops::sigmoid(x);
+    const Tensor th = ops::tanh(x);
+    kernels::setConfig(serialConfig()); // Auto: wide when available
+    EXPECT_TRUE(bitwiseEqual(sig, ops::sigmoid(x)));
+    EXPECT_TRUE(bitwiseEqual(th, ops::tanh(x)));
+
+    // Limits and signs, not just agreement.
+    const Tensor s = ops::sigmoid(
+        Tensor::fromValues(1, 4, {inf, -inf, 0.0f, -0.0f}));
+    EXPECT_EQ(s.data()[0], 1.0f);
+    EXPECT_EQ(toBits(s.data()[1]), toBits(0.0f));
+    EXPECT_EQ(s.data()[2], 0.5f);
+    EXPECT_EQ(s.data()[3], 0.5f);
+    const Tensor t = ops::tanh(
+        Tensor::fromValues(1, 4, {inf, -inf, 0.0f, -0.0f}));
+    EXPECT_EQ(t.data()[0], 1.0f);
+    EXPECT_EQ(t.data()[1], -1.0f);
+    EXPECT_EQ(toBits(t.data()[2]), toBits(0.0f));
+    EXPECT_EQ(toBits(t.data()[3]), toBits(-0.0f));
+    const Tensor nan = Tensor::fromValues(
+        1, 1, {std::numeric_limits<float>::quiet_NaN()});
+    EXPECT_TRUE(std::isnan(ops::sigmoid(nan).data()[0]));
+    EXPECT_TRUE(std::isnan(ops::tanh(nan).data()[0]));
 }
 
 } // namespace

@@ -133,8 +133,8 @@ TEST(GradCheck, LstmCellTwoSteps)
     auto [cache0, cache1] = run_forward(&base_loss);
     cell.zeroGrad();
     Tensor dc = Tensor::zeros(n, f);
-    auto g1 = cell.stepBackward(cache1, head, dc);
-    auto g0 = cell.stepBackward(cache0, g1.dh_prev, g1.dc_prev);
+    auto g1 = cell.stepBackward(cache1, head, dc, true);
+    auto g0 = cell.stepBackward(cache0, g1.dh_prev, g1.dc_prev, false);
 
     auto loss_of = [&]() {
         double loss = 0.0;

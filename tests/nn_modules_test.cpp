@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "device/memory.h"
 #include "nn/aggregators.h"
 #include "nn/gat_model.h"
 #include "nn/linear.h"
@@ -185,6 +187,40 @@ TEST(Aggregators, LstmCacheGrowsWithDegree)
     agg->forward(f2, 2, 2, small_cache);
     agg->forward(f8, 2, 8, large_cache);
     EXPECT_GT(large_cache->bytes(), small_cache->bytes());
+}
+
+TEST(Aggregators, LstmInferenceKeepsOneStepLive)
+{
+    // forwardInference gives forward()'s bits from one reused step
+    // cache: its peak stays flat in the degree, while training pins
+    // every step until backward.
+    util::Rng rng(4);
+    const std::size_t n = 16, dim = 8;
+    auto agg = makeAggregator(AggregatorKind::Lstm, "l", dim, rng);
+    std::uint64_t train_peak[2] = {0, 0}, infer_peak[2] = {0, 0};
+    const std::size_t degrees[2] = {4, 16};
+    for (std::size_t k = 0; k < 2; ++k) {
+        const std::size_t d = degrees[k];
+        Tensor feats = Tensor::zeros(n * d, dim);
+        ops::fillUniform(feats, 1.0f, rng);
+        device::DeviceAllocator train_mem(1ull << 30);
+        device::DeviceAllocator infer_mem(1ull << 30);
+        std::unique_ptr<AggregatorCache> cache;
+        const Tensor trained =
+            agg->forward(feats, n, d, cache, &train_mem);
+        const Tensor served =
+            agg->forwardInference(feats, n, d, &infer_mem);
+        ASSERT_EQ(trained.size(), served.size());
+        EXPECT_EQ(std::memcmp(trained.data(), served.data(),
+                              trained.bytes()),
+                  0)
+            << "d=" << d;
+        train_peak[k] = train_mem.peakBytes();
+        infer_peak[k] = infer_mem.peakBytes();
+    }
+    EXPECT_EQ(infer_peak[0], infer_peak[1]);
+    EXPECT_GT(train_peak[1], 3 * train_peak[0]);
+    EXPECT_LT(4 * infer_peak[1], train_peak[1]);
 }
 
 TEST(Aggregators, FlopsMonotonicInWork)

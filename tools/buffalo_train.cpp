@@ -328,7 +328,7 @@ main(int argc, char **argv)
             flags.getInt("batch-size", 256));
         train::runTraining(*trainer, data, epochs, batch_size, rng);
         std::printf("peak device memory: %s of %s\n",
-                    util::formatBytes(gpu.allocator().peakBytes())
+                    util::formatBytes(gpu.allocator().highWaterBytes())
                         .c_str(),
                     util::formatBytes(gpu.allocator().capacity())
                         .c_str());
@@ -369,7 +369,7 @@ main(int argc, char **argv)
                 .event(obs::names::kEvRunEnd)
                 .field("epochs_run", trainer->epochsRun())
                 .field("peak_device_bytes",
-                       gpu.allocator().peakBytes())
+                       gpu.allocator().highWaterBytes())
                 .field("tracer_dropped_spans",
                        obs::tracer().droppedSpans());
             obs::eventLog().close();
