@@ -11,10 +11,16 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "graph/datasets.h"
 #include "obs/json.h"
@@ -110,6 +116,61 @@ class Reporter
     std::string name_;
     std::vector<Entry> entries_;
 };
+
+/** Cores this process may run on (its affinity mask, on Linux). */
+inline std::size_t
+usableCores()
+{
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<std::size_t>(CPU_COUNT(&set));
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+inline double
+median(std::vector<double> samples)
+{
+    const auto mid = samples.begin() + samples.size() / 2;
+    std::nth_element(samples.begin(), mid, samples.end());
+    return *mid;
+}
+
+inline double
+fastest(const std::vector<double> &samples)
+{
+    return *std::min_element(samples.begin(), samples.end());
+}
+
+inline double
+slowest(const std::vector<double> &samples)
+{
+    return *std::max_element(samples.begin(), samples.end());
+}
+
+/**
+ * The in-run verdict "every @p slow sample exceeds every @p fast
+ * sample", printed with the two sample extremes it rests on. Were
+ * the two sides the same code, complete separation of N interleaved
+ * samples each would occur by chance with probability 1 / C(2N, N)
+ * (1/252 at N = 5).
+ */
+inline bool
+separated(const char *name, const std::string &slow_label,
+          const std::vector<double> &slow,
+          const std::string &fast_label,
+          const std::vector<double> &fast)
+{
+    const bool holds = fastest(slow) > slowest(fast);
+    std::printf("%s = %d: fastest %s %s %s slowest %s %s\n", name,
+                holds ? 1 : 0, slow_label.c_str(),
+                util::formatSeconds(fastest(slow)).c_str(),
+                holds ? ">" : "<=", fast_label.c_str(),
+                util::formatSeconds(slowest(fast)).c_str());
+    return holds;
+}
 
 /** Memory-scale factor: node scale x feature-width scale. */
 inline double

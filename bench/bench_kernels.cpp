@@ -36,6 +36,15 @@
  * serial dispatch plus queue overhead. The LSTM verdict always
  * applies.
  *
+ * A ratio verdict times the three GEMM forms at train-lstm's layer-0
+ * bucket shape (768 rows, dim 64, 256 gate columns; 1 thread, SIMD
+ * at the build default) in the same kRounds interleaved rounds, with
+ * A*B^T paired against A*B on the same B materialised transposed
+ * (equal shape and flops, so the kernel form is the only cause):
+ *   - gemm_bt_keeps_pace_with_ab = 1 iff the median over rounds of
+ *     t(A*B^T) / t(A*B) is <= kFormRatioCeiling. A one-accumulator
+ *     dot-product A*B^T read ~2x here; the shared micro-kernel ~1.0.
+ *
  * The size of either speedup depends on the host and the build type
  * (at -O3 the compiler auto-vectorizes the scalar lanes), so the
  * median ratios are info() only. The raw median timings keep their
@@ -45,11 +54,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "lstm_composition.h"
 #include "nn/lstm.h"
@@ -62,6 +66,11 @@ using namespace buffalo;
 namespace kernels = buffalo::tensor::kernels;
 namespace ops = buffalo::tensor;
 using tensor::Tensor;
+using bench::fastest;
+using bench::median;
+using bench::separated;
+using bench::slowest;
+using bench::usableCores;
 
 namespace {
 
@@ -70,6 +79,12 @@ constexpr std::size_t kRounds = 5;
 
 /** Cell steps (forward + backward) per LSTM timing sample. */
 constexpr std::size_t kLstmSteps = 400;
+
+/** Timed GEMM calls per sample at the LSTM's layer-0 bucket shape. */
+constexpr std::size_t kFormReps = 20;
+
+/** Ceiling on median t(A*B^T) / t(A*B) at equal shape and flops. */
+constexpr double kFormRatioCeiling = 1.25;
 
 Tensor
 randomTensor(std::size_t rows, std::size_t cols, util::Rng &rng)
@@ -92,6 +107,37 @@ timeGemm(const Tensor &a, const Tensor &b,
         std::chrono::steady_clock::now() - start;
     // Keep the result alive so the compute cannot be elided.
     return elapsed.count() + (c.data()[0] != c.data()[0] ? 1e9 : 0.0);
+}
+
+/** A copy of @p t with rows and columns swapped. */
+Tensor
+transposed(const Tensor &t)
+{
+    Tensor out = Tensor::zeros(t.cols(), t.rows());
+    for (std::size_t i = 0; i < t.rows(); ++i)
+        for (std::size_t j = 0; j < t.cols(); ++j)
+            out.data()[j * t.rows() + i] = t.data()[i * t.cols() + j];
+    return out;
+}
+
+/** Seconds of the fastest of kFormReps timed calls of @p op, after
+ *  one warm-up call. The fastest call is the kernel's cost with any
+ *  preemption or neighbour burst filtered out, which a ~0.5 ms GEMM
+ *  would otherwise carry into the sample whole. */
+template <typename Op>
+double
+timeForm(const Op &op)
+{
+    float check = op().data()[0];
+    double best = 1e30;
+    for (std::size_t rep = 0; rep < kFormReps; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        check += op().data()[0];
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        best = std::min(best, elapsed.count());
+    }
+    return best + (check != check ? 1e9 : 0.0);
 }
 
 /** One LSTM cell forward + backward step, fused or as the ops::*
@@ -145,58 +191,6 @@ timeLstmCell(LstmCellWork &work, bool fused)
     return elapsed.count() + (check != check ? 1e9 : 0.0);
 }
 
-/** Cores this process may run on (its affinity mask, on Linux). */
-std::size_t
-usableCores()
-{
-#if defined(__linux__)
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (sched_getaffinity(0, sizeof(set), &set) == 0)
-        return static_cast<std::size_t>(CPU_COUNT(&set));
-#endif
-    return std::max(1u, std::thread::hardware_concurrency());
-}
-
-double
-median(std::vector<double> samples)
-{
-    const auto mid = samples.begin() + samples.size() / 2;
-    std::nth_element(samples.begin(), mid, samples.end());
-    return *mid;
-}
-
-double
-fastest(const std::vector<double> &samples)
-{
-    return *std::min_element(samples.begin(), samples.end());
-}
-
-double
-slowest(const std::vector<double> &samples)
-{
-    return *std::max_element(samples.begin(), samples.end());
-}
-
-/**
- * The verdict "every @p slow sample exceeds every @p fast sample",
- * printed with the two sample extremes it rests on.
- */
-bool
-separated(const char *name, const std::string &slow_label,
-          const std::vector<double> &slow,
-          const std::string &fast_label,
-          const std::vector<double> &fast)
-{
-    const bool holds = fastest(slow) > slowest(fast);
-    std::printf("%s = %d: fastest %s %s %s slowest %s %s\n", name,
-                holds ? 1 : 0, slow_label.c_str(),
-                util::formatSeconds(fastest(slow)).c_str(),
-                holds ? ">" : "<=", fast_label.c_str(),
-                util::formatSeconds(slowest(fast)).c_str());
-    return holds;
-}
-
 } // namespace
 
 int
@@ -233,6 +227,30 @@ main()
         lstm_composed_s.push_back(timeLstmCell(lstm_work, false));
         lstm_fused_s.push_back(timeLstmCell(lstm_work, true));
     }
+    // GEMM forms at train-lstm's layer-0 bucket shape (768 rows,
+    // dim 64, 4 * dim = 256 gate columns), 1 thread, SIMD at the
+    // build default, same interleaving. A*B^T (dx = dz * Wx^T) is
+    // paired with A*B on the same B materialised transposed: equal
+    // shape and flops, so the kernel form is the only cause.
+    const std::size_t kRows = 768, kDim = 64, kGates = 4 * kDim;
+    const Tensor x = randomTensor(kRows, kDim, rng);
+    const Tensor wx = randomTensor(kDim, kGates, rng);
+    const Tensor dz = randomTensor(kRows, kGates, rng);
+    const Tensor wx_t = transposed(wx);
+    std::vector<double> ab_s, atb_s, abt_s, ab_same_s, form_ratio;
+    kernels::setConfig(simd_serial);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        ab_s.push_back(timeForm([&] { return ops::matmul(x, wx); }));
+        atb_s.push_back(
+            timeForm([&] { return ops::matmulTransposeA(x, dz); }));
+        abt_s.push_back(
+            timeForm([&] { return ops::matmulTransposeB(dz, wx); }));
+        ab_same_s.push_back(
+            timeForm([&] { return ops::matmul(dz, wx_t); }));
+        form_ratio.push_back(abt_s.back() / ab_same_s.back());
+    }
+    const double form_gflop = 2.0 * kRows * kDim * kGates / 1e9;
+
     // Single-thread micro-bucket shape: must not regress from the
     // parallel machinery (the grain policy keeps it inline).
     const Tensor micro_a = randomTensor(16, 16, rng);
@@ -273,6 +291,14 @@ main()
                 util::formatSeconds(median(lstm_fused_s)).c_str(),
                 lstm_speedup);
 
+    const double ab_gflops = form_gflop / median(ab_s);
+    const double atb_gflops = form_gflop / median(atb_s);
+    const double abt_gflops = form_gflop / median(abt_s);
+    std::printf("gemm forms at %zu x %zu x %zu, 1 thread %s (median "
+                "GFLOP/s): A*B %.1f, A^T*B %.1f, A*B^T %.1f\n",
+                kRows, kDim, kGates, isa.c_str(), ab_gflops,
+                atb_gflops, abt_gflops);
+
     // --- Exactly-gated timing verdicts (see the file comment) ------
     const bool simd_available = kernels::simdAvailable();
     const std::size_t cores = usableCores();
@@ -304,6 +330,15 @@ main()
     const bool lstm_ok =
         separated("lstm_fused_beats_composition", "composition",
                   lstm_composed_s, "fused", lstm_fused_s);
+
+    const double form_ratio_median = median(form_ratio);
+    const bool form_ok = form_ratio_median <= kFormRatioCeiling;
+    std::printf("gemm_bt_keeps_pace_with_ab = %d: median t(A*B^T) / "
+                "t(A*B) %.2f %s %.2f (A*B^T %s, A*B %s, median)\n",
+                form_ok ? 1 : 0, form_ratio_median,
+                form_ok ? "<=" : ">", kFormRatioCeiling,
+                util::formatSeconds(median(abt_s)).c_str(),
+                util::formatSeconds(median(ab_same_s)).c_str());
 
     // --- Exactly-gated instrumentation counts ---------------------
     using namespace obs::names;
@@ -369,6 +404,12 @@ main()
                 0.0)
         .metric("lstm_fused_beats_composition", lstm_ok ? 1.0 : 0.0,
                 0.0)
+        .metric("gemm_bt_keeps_pace_with_ab", form_ok ? 1.0 : 0.0,
+                0.0)
+        .info("gemm_bt_over_ab_ratio_median", form_ratio_median)
+        .info("gemm_ab_l0_gflops", ab_gflops)
+        .info("gemm_atb_l0_gflops", atb_gflops)
+        .info("gemm_abt_l0_gflops", abt_gflops)
         .info("gemm_simd_speedup_1t_median", simd_speedup)
         .info("gemm_thread_speedup_4t_median", thread_speedup)
         .info("lstm_fused_speedup_median", lstm_speedup)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -231,47 +232,53 @@ parallelRows(std::size_t rows, std::uint64_t work,
     return true;
 }
 
-void
-gemmRows(const float *a, const float *b, float *c, std::size_t r0,
-         std::size_t r1, std::size_t k, std::size_t n)
+namespace {
+
+/** One B tile as the scalar loop reads it: row kk - kp of the tile
+ *  starts at base + (kk - kp) * stride, at column jp. */
+struct BTile
 {
-    if (simdActive()) {
-        wide::gemmRows(a, b, c, r0, r1, k, n, g_config.tile_k,
-                       g_config.tile_n);
-        return;
-    }
-    for (std::size_t i = r0; i < r1; ++i)
-        std::fill(c + i * n, c + (i + 1) * n, 0.0f);
-    if (k == 0 || n == 0)
-        return;
+    const float *base;
+    std::size_t stride;
+};
+
+/**
+ * The scalar lane's one tiled GEMM, shared by all three forms:
+ * zero-fill the owned C rows, then k-panel outer, j-tile, and all
+ * owned rows, so the B tile (tile_k x tile_n) stays cache-resident
+ * across the row sweep. A 4-row block lets one B load feed four C
+ * rows; GCC vectorises the j loop. @p arow_at maps (row, kk) to the
+ * A element and @p tile(kp, kend, jp, jend) yields the B tile. Every
+ * C element accumulates k-ascending from +0 (panels ascend, kk
+ * ascends within a panel) — the serial order, for any tiling.
+ */
+template <typename TileOf, typename ARowAt>
+void
+scalarTiledGemm(TileOf tile, ARowAt arow_at, float *c, std::size_t r0,
+                std::size_t r1, std::size_t k, std::size_t n)
+{
+    std::fill(c + r0 * n, c + r1 * n, 0.0f);
     const std::size_t tile_k = g_config.tile_k;
     const std::size_t tile_n = g_config.tile_n;
-    // k-panel outer, j-tile, then all owned rows: the B sub-panel
-    // (tile_k x tile_n) stays cache-resident across the row sweep.
-    // Every C element accumulates k-ascending (panels ascend, kk
-    // ascends within a panel) — the serial order, for any tiling.
     for (std::size_t kp = 0; kp < k; kp += tile_k) {
         const std::size_t kend = std::min(k, kp + tile_k);
         for (std::size_t jp = 0; jp < n; jp += tile_n) {
             const std::size_t jend = std::min(n, jp + tile_n);
+            const std::size_t tw = jend - jp;
+            const BTile bt = tile(kp, kend, jp, jend);
             std::size_t i = r0;
-            // 4-row micro-kernel: one B load feeds four C rows.
             for (; i + 4 <= r1; i += 4) {
-                const float *a0 = a + (i + 0) * k;
-                const float *a1 = a + (i + 1) * k;
-                const float *a2 = a + (i + 2) * k;
-                const float *a3 = a + (i + 3) * k;
-                float *c0 = c + (i + 0) * n;
-                float *c1 = c + (i + 1) * n;
-                float *c2 = c + (i + 2) * n;
-                float *c3 = c + (i + 3) * n;
+                float *c0 = c + (i + 0) * n + jp;
+                float *c1 = c + (i + 1) * n + jp;
+                float *c2 = c + (i + 2) * n + jp;
+                float *c3 = c + (i + 3) * n + jp;
                 for (std::size_t kk = kp; kk < kend; ++kk) {
-                    const float v0 = a0[kk];
-                    const float v1 = a1[kk];
-                    const float v2 = a2[kk];
-                    const float v3 = a3[kk];
-                    const float *brow = b + kk * n;
-                    for (std::size_t j = jp; j < jend; ++j) {
+                    const float v0 = arow_at(i + 0, kk);
+                    const float v1 = arow_at(i + 1, kk);
+                    const float v2 = arow_at(i + 2, kk);
+                    const float v3 = arow_at(i + 3, kk);
+                    const float *brow = bt.base + (kk - kp) * bt.stride;
+                    for (std::size_t j = 0; j < tw; ++j) {
                         const float bv = brow[j];
                         c0[j] += v0 * bv;
                         c1[j] += v1 * bv;
@@ -281,17 +288,38 @@ gemmRows(const float *a, const float *b, float *c, std::size_t r0,
                 }
             }
             for (; i < r1; ++i) {
-                const float *arow = a + i * k;
-                float *crow = c + i * n;
+                float *crow = c + i * n + jp;
                 for (std::size_t kk = kp; kk < kend; ++kk) {
-                    const float av = arow[kk];
-                    const float *brow = b + kk * n;
-                    for (std::size_t j = jp; j < jend; ++j)
+                    const float av = arow_at(i, kk);
+                    const float *brow = bt.base + (kk - kp) * bt.stride;
+                    for (std::size_t j = 0; j < tw; ++j)
                         crow[j] += av * brow[j];
                 }
             }
         }
     }
+}
+
+} // namespace
+
+void
+gemmRows(const float *a, const float *b, float *c, std::size_t r0,
+         std::size_t r1, std::size_t k, std::size_t n)
+{
+    if (simdActive()) {
+        wide::gemmRows(a, b, c, r0, r1, k, n, g_config.tile_k,
+                       g_config.tile_n);
+        return;
+    }
+    scalarTiledGemm(
+        [b, n](std::size_t kp, std::size_t, std::size_t jp,
+               std::size_t) {
+            return BTile{b + kp * n + jp, n};
+        },
+        [a, k](std::size_t row, std::size_t kk) {
+            return a[row * k + kk];
+        },
+        c, r0, r1, k, n);
 }
 
 void
@@ -304,51 +332,16 @@ gemmTransposeARows(const float *a, const float *b, float *c,
                                  g_config.tile_k, g_config.tile_n);
         return;
     }
-    for (std::size_t i = r0; i < r1; ++i)
-        std::fill(c + i * n, c + (i + 1) * n, 0.0f);
-    if (k == 0 || n == 0)
-        return;
-    const std::size_t tile_k = g_config.tile_k;
-    const std::size_t tile_n = g_config.tile_n;
-    for (std::size_t kp = 0; kp < k; kp += tile_k) {
-        const std::size_t kend = std::min(k, kp + tile_k);
-        for (std::size_t jp = 0; jp < n; jp += tile_n) {
-            const std::size_t jend = std::min(n, jp + tile_n);
-            std::size_t i = r0;
-            // Four consecutive C rows = four consecutive A columns;
-            // a[kk*m + i .. i+3] is one contiguous load.
-            for (; i + 4 <= r1; i += 4) {
-                float *c0 = c + (i + 0) * n;
-                float *c1 = c + (i + 1) * n;
-                float *c2 = c + (i + 2) * n;
-                float *c3 = c + (i + 3) * n;
-                for (std::size_t kk = kp; kk < kend; ++kk) {
-                    const float *acol = a + kk * m + i;
-                    const float v0 = acol[0];
-                    const float v1 = acol[1];
-                    const float v2 = acol[2];
-                    const float v3 = acol[3];
-                    const float *brow = b + kk * n;
-                    for (std::size_t j = jp; j < jend; ++j) {
-                        const float bv = brow[j];
-                        c0[j] += v0 * bv;
-                        c1[j] += v1 * bv;
-                        c2[j] += v2 * bv;
-                        c3[j] += v3 * bv;
-                    }
-                }
-            }
-            for (; i < r1; ++i) {
-                float *crow = c + i * n;
-                for (std::size_t kk = kp; kk < kend; ++kk) {
-                    const float av = a[kk * m + i];
-                    const float *brow = b + kk * n;
-                    for (std::size_t j = jp; j < jend; ++j)
-                        crow[j] += av * brow[j];
-                }
-            }
-        }
-    }
+    scalarTiledGemm(
+        [b, n](std::size_t kp, std::size_t, std::size_t jp,
+               std::size_t) {
+            return BTile{b + kp * n + jp, n};
+        },
+        // C row i is A column i: a[kk*m + i].
+        [a, m](std::size_t row, std::size_t kk) {
+            return a[kk * m + row];
+        },
+        c, r0, r1, k, n);
 }
 
 void
@@ -357,41 +350,27 @@ gemmTransposeBRows(const float *a, const float *b, float *c,
                    std::size_t n)
 {
     if (simdActive()) {
-        wide::gemmTransposeBRows(a, b, c, r0, r1, k, n);
+        wide::gemmTransposeBRows(a, b, c, r0, r1, k, n,
+                                 g_config.tile_k, g_config.tile_n);
         return;
     }
-    for (std::size_t i = r0; i < r1; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        std::size_t j = 0;
-        // Four dot products share each arow load; every accumulator
-        // still sums k-ascending, so blocking is bitwise-neutral.
-        for (; j + 4 <= n; j += 4) {
-            const float *b0 = b + (j + 0) * k;
-            const float *b1 = b + (j + 1) * k;
-            const float *b2 = b + (j + 2) * k;
-            const float *b3 = b + (j + 3) * k;
-            float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float av = arow[kk];
-                d0 += av * b0[kk];
-                d1 += av * b1[kk];
-                d2 += av * b2[kk];
-                d3 += av * b3[kk];
-            }
-            crow[j + 0] = d0;
-            crow[j + 1] = d1;
-            crow[j + 2] = d2;
-            crow[j + 3] = d3;
-        }
-        for (; j < n; ++j) {
-            const float *brow = b + j * k;
-            float dot = 0.0f;
-            for (std::size_t kk = 0; kk < k; ++kk)
-                dot += arow[kk] * brow[kk];
-            crow[j] = dot;
-        }
-    }
+    // Pack each tile of B^T (B is n x k) into a per-thread panel,
+    // panel[kk - kp][j - jp] = b[j][kk], and run the A*B loop on it.
+    thread_local std::vector<float> panel;
+    scalarTiledGemm(
+        [b, k](std::size_t kp, std::size_t kend, std::size_t jp,
+               std::size_t jend) {
+            const std::size_t tw = jend - jp;
+            panel.resize((kend - kp) * tw);
+            for (std::size_t j = jp; j < jend; ++j)
+                for (std::size_t kk = kp; kk < kend; ++kk)
+                    panel[(kk - kp) * tw + (j - jp)] = b[j * k + kk];
+            return BTile{panel.data(), tw};
+        },
+        [a, k](std::size_t row, std::size_t kk) {
+            return a[row * k + kk];
+        },
+        c, r0, r1, k, n);
 }
 
 void

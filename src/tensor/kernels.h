@@ -106,8 +106,8 @@ bool parallelRows(std::size_t rows, std::uint64_t work,
 
 /**
  * C = A * B over rows [r0, r1) of C. A is m x k, B is k x n, all
- * row-major. Zero-fills the owned C rows first (outputs may come from
- * Tensor::uninitialized), then accumulates k-ascending — bitwise
+ * row-major. Writes every owned C element (outputs may come from
+ * Tensor::uninitialized), each summed k-ascending from +0 — bitwise
  * equal to the serial i-k-j loop for any tiling or row partition.
  */
 void gemmRows(const float *a, const float *b, float *c, std::size_t r0,
@@ -115,7 +115,7 @@ void gemmRows(const float *a, const float *b, float *c, std::size_t r0,
 
 /**
  * C = A^T * B over rows [r0, r1) of C. A is k x m, B is k x n,
- * C is m x n. Same zero-fill + k-ascending contract as gemmRows.
+ * C is m x n. Same write-all + k-ascending contract as gemmRows.
  */
 void gemmTransposeARows(const float *a, const float *b, float *c,
                         std::size_t r0, std::size_t r1, std::size_t k,
@@ -123,7 +123,9 @@ void gemmTransposeARows(const float *a, const float *b, float *c,
 
 /**
  * C = A * B^T over rows [r0, r1) of C. A is m x k, B is n x k,
- * C is m x n. Each element is one sequential k-ascending dot product.
+ * C is m x n. Packs each tile of B^T and runs the A * B tile loop on
+ * it, so the contract (and tile_k / tile_n) are those of gemmRows:
+ * each element is the sequential k-ascending dot product.
  */
 void gemmTransposeBRows(const float *a, const float *b, float *c,
                         std::size_t r0, std::size_t r1, std::size_t k,

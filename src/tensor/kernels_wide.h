@@ -38,6 +38,12 @@ const char *isaName();
 /** Fixed-tree horizontal sum over @p n floats (see simd.h hsum). */
 float hsumTree(const float *lanes, std::size_t n);
 
+/**
+ * The three GEMM forms, with the contracts of their kernels.h
+ * namesakes. All run one packed-panel tile loop and one 4-row x 2W
+ * micro-kernel; gemmTransposeBRows packs each tile of B^T, so
+ * tile_k / tile_n apply to every form.
+ */
 void gemmRows(const float *a, const float *b, float *c,
               std::size_t r0, std::size_t r1, std::size_t k,
               std::size_t n, std::size_t tile_k, std::size_t tile_n);
@@ -49,7 +55,8 @@ void gemmTransposeARows(const float *a, const float *b, float *c,
 
 void gemmTransposeBRows(const float *a, const float *b, float *c,
                         std::size_t r0, std::size_t r1, std::size_t k,
-                        std::size_t n);
+                        std::size_t n, std::size_t tile_k,
+                        std::size_t tile_n);
 
 void ewAdd(const float *a, const float *b, float *c, std::size_t lo,
            std::size_t hi);

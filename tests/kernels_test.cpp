@@ -8,11 +8,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "lstm_composition.h"
 #include "nn/aggregators.h"
@@ -210,6 +212,109 @@ TEST_F(KernelsTest, GemmBitwiseAcrossShapesTilesAndThreads)
     }
 }
 
+TEST_F(KernelsTest, GemmMicroKernelEdgesBitwise)
+{
+    // The wide micro-kernel runs 4-row x 2W blocks, then one 4 x W
+    // block, then a scalar column tail, and leftover rows one at a
+    // time. n in {8, 24, 40} with tile_n in {24, 40} leaves exactly
+    // one W-vector after the 2W blocks at AVX2 width; m in {4, 5, 7}
+    // hits the 1- and 3-row tails; k > tile_k makes every form
+    // (A*B^T's transposed pack included) span several k-panels.
+    util::Rng rng(29);
+    for (std::size_t m : {4u, 5u, 7u}) {
+        for (std::size_t n : {8u, 24u, 40u}) {
+            for (std::size_t k : {1u, 9u, 33u}) {
+                const Tensor a = randomTensor(m, k, rng);
+                const Tensor b = randomTensor(k, n, rng);
+                const Tensor at = randomTensor(k, m, rng);
+                const Tensor bt = randomTensor(n, k, rng);
+
+                kernels::KernelConfig base = serialConfig();
+                base.simd = kernels::SimdMode::Off;
+                kernels::setConfig(base);
+                const Tensor c1 = ops::matmul(a, b);
+                const Tensor ta1 = ops::matmulTransposeA(at, b);
+                const Tensor tb1 = ops::matmulTransposeB(a, bt);
+                ASSERT_TRUE(bitwiseEqual(c1, refMatmul(a, b)));
+                ASSERT_TRUE(
+                    bitwiseEqual(ta1, refMatmulTransposeA(at, b)));
+                ASSERT_TRUE(
+                    bitwiseEqual(tb1, refMatmulTransposeB(a, bt)));
+
+                for (kernels::SimdMode mode :
+                     {kernels::SimdMode::Off, kernels::SimdMode::Auto}) {
+                    for (std::size_t threads : {1u, 4u}) {
+                        for (std::size_t tile_n : {24u, 40u}) {
+                            kernels::KernelConfig cfg =
+                                threads == 1 ? serialConfig()
+                                             : parallelConfig(threads);
+                            cfg.simd = mode;
+                            cfg.tile_n = tile_n;
+                            cfg.tile_k = 8;
+                            kernels::setConfig(cfg);
+                            std::ostringstream where;
+                            where << m << "x" << k << "x" << n
+                                  << " simd="
+                                  << kernels::simdModeName(mode)
+                                  << " threads=" << threads
+                                  << " tile_n=" << tile_n;
+                            EXPECT_TRUE(
+                                bitwiseEqual(c1, ops::matmul(a, b)))
+                                << where.str();
+                            EXPECT_TRUE(bitwiseEqual(
+                                ta1, ops::matmulTransposeA(at, b)))
+                                << where.str();
+                            EXPECT_TRUE(bitwiseEqual(
+                                tb1, ops::matmulTransposeB(a, bt)))
+                                << where.str();
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, NegativeZeroRowsGivePositiveZeroInEveryMode)
+{
+    // Every C element sums from +0, so rows of -0 times a positive B
+    // (products -0) must come out +0, never -0: the first k-panel
+    // starts its accumulators at +0 rather than at the first product.
+    const std::size_t m = 7, n = 40;
+    for (std::size_t k : {1u, 9u}) {
+        Tensor a = Tensor::zeros(m, k);
+        Tensor at = Tensor::zeros(k, m);
+        Tensor b = Tensor::zeros(k, n);
+        Tensor bt = Tensor::zeros(n, k);
+        std::fill(a.data(), a.data() + a.size(), -0.0f);
+        std::fill(at.data(), at.data() + at.size(), -0.0f);
+        std::fill(b.data(), b.data() + b.size(), 1.5f);
+        std::fill(bt.data(), bt.data() + bt.size(), 1.5f);
+        for (kernels::SimdMode mode : sweepSimdModes()) {
+            for (std::size_t threads : {1u, 4u}) {
+                kernels::KernelConfig cfg = threads == 1
+                                                ? serialConfig()
+                                                : parallelConfig(threads);
+                cfg.simd = mode;
+                cfg.tile_k = 8;
+                kernels::setConfig(cfg);
+                for (const Tensor &c :
+                     {ops::matmul(a, b), ops::matmulTransposeA(at, b),
+                      ops::matmulTransposeB(a, bt)}) {
+                    for (std::size_t i = 0; i < c.size(); ++i) {
+                        std::uint32_t bits = 1;
+                        std::memcpy(&bits, c.data() + i, sizeof bits);
+                        ASSERT_EQ(bits, 0u)
+                            << "k=" << k << " simd="
+                            << kernels::simdModeName(mode)
+                            << " threads=" << threads << " i=" << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST_F(KernelsTest, ElementwiseAndGatherBitwiseParallelVsSerial)
 {
     util::Rng rng(11);
@@ -344,6 +449,7 @@ TEST_F(KernelsTest, ZeroTimesInfinityPropagatesNaN)
     b.data()[0] = std::numeric_limits<float>::infinity();
     EXPECT_TRUE(std::isnan(ops::matmul(a, b).data()[0]));
     EXPECT_TRUE(std::isnan(ops::matmulTransposeA(a, b).data()[0]));
+    EXPECT_TRUE(std::isnan(ops::matmulTransposeB(a, b).data()[0]));
     Tensor nan_b = Tensor::zeros(1, 1);
     nan_b.data()[0] = std::numeric_limits<float>::quiet_NaN();
     EXPECT_TRUE(std::isnan(ops::matmul(a, nan_b).data()[0]));
@@ -362,6 +468,41 @@ TEST_F(KernelsTest, UninitializedOutputsAreFullyOverwritten)
     const Tensor s = ops::scale(a, 3.0f);
     for (std::size_t i = 0; i < s.size(); ++i)
         ASSERT_EQ(s.data()[i], 0.0f);
+
+    // The raw row kernels write C without a zero-fill pass when
+    // k > 0 (the first k-panel starts at +0), so every owned element
+    // must be written for k = 0, one panel, and a partial second
+    // panel, in every form. C starts NaN-poisoned.
+    const std::size_t m = 7, n = 40, tile_k = 8;
+    for (kernels::SimdMode mode : sweepSimdModes()) {
+        kernels::KernelConfig cfg = serialConfig();
+        cfg.simd = mode;
+        cfg.tile_k = tile_k;
+        kernels::setConfig(cfg);
+        for (std::size_t k : {std::size_t{0}, std::size_t{1},
+                              tile_k + 1}) {
+            const std::vector<float> za(m * k, 0.0f);
+            const std::vector<float> zb(k * n, 0.0f);
+            for (int form = 0; form < 3; ++form) {
+                std::vector<float> out(
+                    m * n, std::numeric_limits<float>::quiet_NaN());
+                if (form == 0)
+                    kernels::gemmRows(za.data(), zb.data(), out.data(),
+                                      0, m, k, n);
+                else if (form == 1)
+                    kernels::gemmTransposeARows(za.data(), zb.data(),
+                                                out.data(), 0, m, k, m,
+                                                n);
+                else
+                    kernels::gemmTransposeBRows(za.data(), zb.data(),
+                                                out.data(), 0, m, k, n);
+                for (std::size_t i = 0; i < out.size(); ++i)
+                    ASSERT_EQ(out[i], 0.0f)
+                        << "form=" << form << " k=" << k << " simd="
+                        << kernels::simdModeName(mode) << " i=" << i;
+            }
+        }
+    }
 }
 
 TEST_F(KernelsTest, NestedInvocationStaysSerial)

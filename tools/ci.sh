@@ -159,9 +159,9 @@ BUFFALO_BENCH_DIR="${bench_dir}" \
 "${prefix}-release/tools/bench_diff" \
     bench/baselines/BENCH_pipeline.json \
     "${bench_dir}/BENCH_pipeline.json"
-# Block-generation gate: the in-run parallel-construction speedup
-# (flat-table generator on a 4-worker pool vs the pre-rewrite
-# hash-map reference) plus the Figure-12 summary. The empty filter
+# Block-generation gate: the in-run verdict that the flat-table
+# generator beats the pre-rewrite hash-map reference on one worker,
+# plus the Figure-12 summary. The empty filter
 # skips the google-benchmark loops; the gated numbers come from the
 # direct measurements.
 BUFFALO_BENCH_DIR="${bench_dir}" \
